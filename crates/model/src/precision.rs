@@ -173,6 +173,8 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::mlp::{Mlp, MlpConfig};
+    use std::sync::Arc;
+    use udao_telemetry::{enter_scope, MetricsRegistry};
 
     fn trained_mlp() -> Mlp {
         let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 29.0]).collect();
@@ -213,26 +215,26 @@ mod tests {
         let mut f64_ref = vec![0.0; xs.len()];
         udao_core::ObjectiveModel::predict_batch(&m, &xs, &mut f64_ref);
 
+        // A private scope: sibling tests record f32 verify violations
+        // concurrently. `FastPath` counts on this thread.
+        let reg = Arc::new(MetricsRegistry::new());
+        let _scope = enter_scope(Arc::clone(&reg));
+
         // Loose bound: no violations, f64 values returned.
-        let before =
-            udao_telemetry::global().counter(names::MODEL_F32_VERIFY_VIOLATIONS).get();
+        let before = reg.counter(names::MODEL_F32_VERIFY_VIOLATIONS).get();
         let lax = FastPath::new(m.clone(), Precision::F32Verified { rel_tol: 1e-2 });
         let mut out = vec![0.0; xs.len()];
         lax.predict_batch(&xs, &mut out);
         for (a, b) in out.iter().zip(&f64_ref) {
             assert_eq!(a.to_bits(), b.to_bits(), "verified mode must return f64 values");
         }
-        assert_eq!(
-            udao_telemetry::global().counter(names::MODEL_F32_VERIFY_VIOLATIONS).get(),
-            before
-        );
+        assert_eq!(reg.counter(names::MODEL_F32_VERIFY_VIOLATIONS).get(), before);
 
         // Impossible bound: every element violates, and the counter says so.
         let strict = FastPath::new(m, Precision::F32Verified { rel_tol: 0.0 });
         strict.predict_batch(&xs, &mut out);
         assert!(
-            udao_telemetry::global().counter(names::MODEL_F32_VERIFY_VIOLATIONS).get()
-                > before,
+            reg.counter(names::MODEL_F32_VERIFY_VIOLATIONS).get() > before,
             "zero tolerance must record violations"
         );
     }

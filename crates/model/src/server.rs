@@ -627,6 +627,7 @@ struct PersistedEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use udao_telemetry::{enter_scope, MetricsRegistry};
 
     fn line_data(n: usize, slope: f64) -> Dataset {
         let x: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1).max(1) as f64]).collect();
@@ -680,7 +681,10 @@ mod tests {
 
     #[test]
     fn small_gp_updates_extend_instead_of_refitting() {
-        let reg = udao_telemetry::global();
+        // A private scope: sibling tests extend GPs concurrently and bump
+        // the process-global counter. `ingest` trains on this thread.
+        let reg = Arc::new(MetricsRegistry::new());
+        let _scope = enter_scope(Arc::clone(&reg));
         let extends_before = reg.counter(names::MODEL_GP_EXTENDS).get();
         let server = ModelServer::new();
         let key = ModelKey::new("q11", "latency");
@@ -702,6 +706,10 @@ mod tests {
 
     #[test]
     fn precision_setting_wraps_published_models() {
+        // A private scope: sibling tests record f32 verify violations
+        // concurrently. Verified predictions count on this thread.
+        let reg = Arc::new(MetricsRegistry::new());
+        let _scope = enter_scope(Arc::clone(&reg));
         let server = ModelServer::new();
         let key = ModelKey::new("q12", "latency");
         server.register(key.clone(), ModelKind::Gp(GpConfig::default()));
@@ -710,16 +718,14 @@ mod tests {
 
         // Verified f32: served values are the f64 shadow, so they match the
         // f64-published model closely; the bound must hold on this data.
-        let violations_before = udao_telemetry::global()
-            .counter(names::MODEL_F32_VERIFY_VIOLATIONS)
-            .get();
+        let violations_before = reg.counter(names::MODEL_F32_VERIFY_VIOLATIONS).get();
         server.set_precision(Precision::F32Verified { rel_tol: 1e-3 });
         assert!(!server.precision().is_f64());
         assert!(server.retrain_now(&key, &Dataset::default()));
         let verified = server.get(&key).unwrap();
         assert!((verified.predict(&[0.5]) - f64_model.predict(&[0.5])).abs() < 1e-9);
         assert_eq!(
-            udao_telemetry::global().counter(names::MODEL_F32_VERIFY_VIOLATIONS).get(),
+            reg.counter(names::MODEL_F32_VERIFY_VIOLATIONS).get(),
             violations_before,
             "1e-3 relative bound must hold on a well-scaled GP"
         );
@@ -772,7 +778,10 @@ mod tests {
 
     #[test]
     fn swap_counters_track_replacements_only() {
-        let reg = udao_telemetry::global();
+        // A private scope: sibling tests publish replacement models
+        // concurrently. `ingest` publishes on this thread.
+        let reg = Arc::new(MetricsRegistry::new());
+        let _scope = enter_scope(Arc::clone(&reg));
         let swaps_before = reg.counter(names::MODEL_SWAPS).get();
         let server = ModelServer::new();
         let key = ModelKey::new("q4", "latency");
